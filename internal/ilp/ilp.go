@@ -127,6 +127,11 @@ type Result struct {
 
 const intTol = 1e-6
 
+// solveLP solves each node's relaxation. It is a variable only so that
+// tests can inject LP failures the real simplex does not produce on
+// small problems.
+var solveLP = lp.SolveCtx
+
 type node struct {
 	bound  float64 // LP relaxation objective (in the problem's own sense)
 	depth  int
@@ -261,7 +266,7 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 			}
 		}
 		relax.Lo, relax.Hi = lo, hi
-		sol, err := lp.SolveCtx(ctx, &relax)
+		sol, err := solveLP(ctx, &relax)
 		if err != nil {
 			return nil, err
 		}
@@ -505,6 +510,9 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 
 	res.BestBound = root.bound
 	limited := false
+	// A node whose relaxation hit the LP iteration limit leaves its
+	// subtree unexplored; lost holds the best bound among such nodes.
+	var lost *node
 	for current != nil || h.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -538,7 +546,10 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		case lp.Infeasible:
 			continue
 		case lp.IterLimit:
-			continue // treat as un-exploitable node
+			if lost == nil || better(nd.bound, lost.bound) {
+				lost = nd
+			}
+			continue
 		case lp.Unbounded:
 			// A bounded parent relaxation cannot become unbounded by
 			// tightening bounds; defensive skip.
@@ -558,6 +569,16 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		current = near // plunge
 	}
 
+	// An unexplored subtree is settled only when the final incumbent
+	// prunes its bound. Otherwise the solve ends as if a budget ran
+	// out: the incumbent is unproven, and the best bound must cover
+	// the lost subtree.
+	if lost != nil && !pruned(lost.bound) {
+		if !limited || better(lost.bound, res.BestBound) {
+			res.BestBound = lost.bound
+		}
+		limited = true
+	}
 	if limited {
 		res.Status = ResourceLimit
 		return res, nil

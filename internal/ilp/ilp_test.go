@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -466,4 +467,63 @@ func TestQuickIISIrreducible(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// failRelaxations makes each relaxation solve for which fail(call)
+// holds report lp.IterLimit, numbering calls from 1 (the root), for the
+// rest of the test.
+func failRelaxations(t *testing.T, fail func(call int) bool) {
+	t.Helper()
+	calls := 0
+	solveLP = func(ctx context.Context, p *lp.Problem) (*lp.Solution, error) {
+		calls++
+		if fail(calls) {
+			return &lp.Solution{Status: lp.IterLimit}, nil
+		}
+		return lp.SolveCtx(ctx, p)
+	}
+	t.Cleanup(func() { solveLP = lp.SolveCtx })
+}
+
+// TestIterLimitNodeIsNotProof: a node whose relaxation hits the LP
+// iteration limit leaves its subtree unexplored, so the search cannot
+// end Optimal (or Infeasible) unless the incumbent prunes that subtree.
+// It ends ResourceLimit with the incumbent and a bound that covers the
+// lost subtree.
+func TestIterLimitNodeIsNotProof(t *testing.T) {
+	knapsack := func() *Problem {
+		return &Problem{LP: lp.Problem{
+			Maximize: true,
+			C:        []float64{60, 100, 120},
+			A:        [][]float64{{10, 20, 30}},
+			Op:       []lp.ConstraintOp{lp.LE},
+			B:        []float64{50},
+			Hi:       []float64{1, 1, 1},
+		}}
+	}
+	exact := solveOK(t, knapsack(), Options{})
+	if exact.Status != Optimal || exact.Nodes < 2 {
+		t.Fatalf("fixture: %v after %d nodes, want optimal after branching", exact.Status, exact.Nodes)
+	}
+
+	t.Run("every node lost", func(t *testing.T) {
+		failRelaxations(t, func(call int) bool { return call > 1 })
+		r := solveOK(t, knapsack(), Options{})
+		if r.Status != ResourceLimit || r.HasIncumbent {
+			t.Fatalf("got %v (incumbent %v), want resource-limit without incumbent", r.Status, r.HasIncumbent)
+		}
+		if r.BestBound < exact.Objective-1e-9 {
+			t.Errorf("best bound %g is below the optimum %g", r.BestBound, exact.Objective)
+		}
+	})
+	t.Run("first child lost", func(t *testing.T) {
+		failRelaxations(t, func(call int) bool { return call == 2 })
+		r := solveOK(t, knapsack(), Options{})
+		if r.Status != ResourceLimit || !r.HasIncumbent {
+			t.Fatalf("got %v (incumbent %v), want resource-limit with the incumbent kept", r.Status, r.HasIncumbent)
+		}
+		if r.Objective > exact.Objective+1e-9 || r.BestBound < exact.Objective-1e-9 {
+			t.Errorf("incumbent %g and bound %g do not bracket the optimum %g", r.Objective, r.BestBound, exact.Objective)
+		}
+	})
 }
