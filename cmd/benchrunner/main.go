@@ -168,7 +168,7 @@ func main() {
 	run("loadgen", func() error {
 		// Fire -loadn concurrent mixed queries (direct + sketchrefine,
 		// feasible + infeasible) at a paqld and differentially check every
-		// response against in-process engine evaluations. With -paqld set,
+		// response against in-process executions. With -paqld set,
 		// the target must have been started with matching
 		// -galaxy/-tpch/-seed/-tau flags. Unless -loadobs=false, the run
 		// also validates the /metrics exposition mid-burst, cross-checks

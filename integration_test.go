@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -17,6 +18,15 @@ import (
 	"repro/internal/translate"
 	"repro/internal/workload"
 )
+
+// direct evaluates a whole query with DIRECT: validate the spec, then
+// solve one ILP over every eligible row.
+func direct(spec *core.Spec, opt ilp.Options) (*core.Package, *core.EvalStats, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, &core.EvalStats{}, err
+	}
+	return core.SolveRows(context.Background(), spec, spec.BaseRows(), nil, opt, 0, nil)
+}
 
 // TestEndToEndWorkloadConsistency runs every benchmark query of both
 // datasets through the whole pipeline — generator → per-query table →
@@ -51,8 +61,8 @@ func TestEndToEndWorkloadConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: partition: %v", set.name, q.Name, err)
 			}
-			dPkg, _, dErr := core.Direct(spec, opt)
-			sPkg, _, sErr := sketchrefine.Evaluate(spec, part, sketchrefine.Options{Solver: opt, HybridSketch: true})
+			dPkg, _, dErr := direct(spec, opt)
+			sPkg, _, sErr := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{Solver: opt, HybridSketch: true})
 			if q.Hard {
 				continue // hard queries may exhaust budgets at test scale
 			}
@@ -107,7 +117,7 @@ MAXIMIZE SUM(P.petrorad)`, back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +161,7 @@ MAXIMIZE SUM(P.value)`
 		if err != nil {
 			return false
 		}
-		dPkg, _, err := core.Direct(spec, ilp.Options{})
+		dPkg, _, err := direct(spec, ilp.Options{})
 		if err != nil {
 			return false
 		}
@@ -162,7 +172,7 @@ MAXIMIZE SUM(P.value)`
 		if err != nil {
 			return false
 		}
-		sPkg, _, err := sketchrefine.Evaluate(spec, part, sketchrefine.Options{HybridSketch: true})
+		sPkg, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{HybridSketch: true})
 		if err != nil {
 			// Allowed: false infeasibility. Not allowed: other errors.
 			return errors.Is(err, sketchrefine.ErrFalseInfeasible) || errors.Is(err, core.ErrInfeasible)
@@ -200,7 +210,7 @@ MAXIMIZE SUM(P.value)`
 	if err != nil {
 		t.Fatal(err)
 	}
-	dPkg, _, err := core.Direct(spec, ilp.Options{})
+	dPkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +226,7 @@ MAXIMIZE SUM(P.value)`
 		if err != nil {
 			t.Fatal(err)
 		}
-		sPkg, _, err := sketchrefine.Evaluate(spec, part, sketchrefine.Options{HybridSketch: true})
+		sPkg, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{HybridSketch: true})
 		if err != nil {
 			continue // false infeasibility is permitted by the theorem
 		}

@@ -92,7 +92,7 @@ func (c Config) withDefaults() Config {
 // Outcome is one execution's observed record, reported by the session
 // after every real (non-cached) solve.
 type Outcome struct {
-	// Shape identifies the query's structure (see engine.ShapeKey);
+	// Shape identifies the query's structure (see paq's shapeKey);
 	// Method names the strategy that ran.
 	Shape  string
 	Method string

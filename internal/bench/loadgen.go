@@ -438,7 +438,7 @@ MAXIMIZE SUM(P.totalprice)`,
 // port and returns its base URL and a shutdown function. The server's
 // datasets are clones of the reference sessions: the partitionings —
 // deterministic and immutable, the most expensive warm-up — are shared,
-// while the engines and solution caches are fresh, keeping the solve
+// while the solution caches are fresh, keeping the solve
 // paths independent.
 func (e *Env) startInProcess(ctx context.Context, refDS map[Dataset]*server.Dataset) (string, func(), error) {
 	// A deep admission queue: the generator's burst should complete and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -13,6 +14,15 @@ import (
 	"repro/internal/relation"
 	"repro/internal/reltest"
 )
+
+// direct evaluates a whole query with DIRECT: validate the spec, then
+// solve one ILP over every eligible row.
+func direct(spec *Spec, opt ilp.Options) (*Package, *EvalStats, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, &EvalStats{}, err
+	}
+	return SolveRows(context.Background(), spec, spec.BaseRows(), nil, opt, 0, nil)
+}
 
 // recipes builds the running-example relation of the paper.
 func recipes() *relation.Relation {
@@ -61,7 +71,7 @@ func mealSpec(rel *relation.Relation) *Spec {
 func TestDirectMealPlanner(t *testing.T) {
 	rel := recipes()
 	spec := mealSpec(rel)
-	pkg, stats, err := Direct(spec, ilp.Options{})
+	pkg, stats, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatalf("Direct: %v", err)
 	}
@@ -134,7 +144,7 @@ func TestDirectInfeasible(t *testing.T) {
 	spec := mealSpec(rel)
 	// Demand an impossible calorie total.
 	spec.Constraints[1].RHS = 100
-	_, _, err := Direct(spec, ilp.Options{})
+	_, _, err := direct(spec, ilp.Options{})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -150,7 +160,7 @@ func TestDirectUnbounded(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "kcal"}},
 	}
-	_, _, err := Direct(spec, ilp.Options{})
+	_, _, err := direct(spec, ilp.Options{})
 	if err == nil || !strings.Contains(err.Error(), "unbounded") {
 		t.Fatalf("err = %v, want unbounded", err)
 	}
@@ -168,7 +178,7 @@ func TestDirectRepeat(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "kcal"}},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +209,7 @@ func TestDirectConditionalCount(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "kcal"}},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +242,7 @@ func TestDirectAvgConstraintViaShiftedCoef(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "carbs"}},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +272,7 @@ func TestDirectRestrictions(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "carbs"}},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +293,7 @@ func TestDirectFeasibilityOnly(t *testing.T) {
 			{Coef: AttrCoef{Attr: "kcal"}, Op: lp.GE, RHS: 1.7},
 		},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +321,7 @@ func TestDirectResourceLimit(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "v"}},
 	}
-	_, _, err := Direct(spec, ilp.Options{MaxNodes: 1})
+	_, _, err := direct(spec, ilp.Options{MaxNodes: 1})
 	if err == nil || !strings.Contains(err.Error(), "resource limit") {
 		t.Fatalf("err = %v, want resource limit", err)
 	}
@@ -461,7 +471,7 @@ func TestQuickDirectMatchesBruteForce(t *testing.T) {
 			},
 			Objective: &Objective{Maximize: rng.Intn(2) == 0, Coef: AttrCoef{Attr: "b"}},
 		}
-		pkg, _, err := Direct(spec, ilp.Options{})
+		pkg, _, err := direct(spec, ilp.Options{})
 		rows := spec.BaseRows()
 		// Brute force over subsets.
 		best := math.NaN()

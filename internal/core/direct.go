@@ -196,25 +196,15 @@ func hookSolver(opt ilp.Options, spec *Spec, rows []int, sub int, sketch bool, f
 
 // SolveRows evaluates the spec restricted to the given candidate rows
 // with the DIRECT strategy: build one ILP and solve it. hi optionally
-// overrides per-variable upper bounds. The returned error is
+// overrides per-variable upper bounds. Every improving incumbent the
+// branch-and-bound search installs is forwarded to fn (tagged with
+// subproblem number sub) before the final answer is returned; a nil fn
+// degrades to a plain solve. Cancellation or a context deadline aborts
+// the search and returns the context's error; otherwise the error is
 // ErrInfeasible, ErrResourceLimit (possibly wrapped), or an internal
-// failure.
-func SolveRows(spec *Spec, rows []int, hi []float64, opt ilp.Options) (*Package, *EvalStats, error) {
-	return SolveRowsCtx(context.Background(), spec, rows, hi, opt)
-}
-
-// SolveRowsCtx is SolveRows under a context: cancellation or a context
-// deadline aborts the underlying branch-and-bound search and returns the
-// context's error.
-func SolveRowsCtx(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Options) (*Package, *EvalStats, error) {
-	return SolveRowsStream(ctx, spec, rows, hi, opt, 0, nil)
-}
-
-// SolveRowsStream is SolveRowsCtx with anytime results: every improving
-// incumbent the branch-and-bound search installs is forwarded to fn
-// (tagged with subproblem number sub) before the final answer is
-// returned. A nil fn degrades to a plain solve.
-func SolveRowsStream(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Options, sub int, fn IncumbentFunc) (*Package, *EvalStats, error) {
+// failure. The spec is not validated here: callers evaluating a whole
+// query run Spec.Validate once first.
+func SolveRows(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Options, sub int, fn IncumbentFunc) (*Package, *EvalStats, error) {
 	opt = hookSolver(opt, spec, rows, sub, false, fn)
 	ctx, sp := obs.Start(ctx, "ilp")
 	defer sp.Finish()
@@ -283,27 +273,4 @@ func SolveRowsStream(ctx context.Context, spec *Spec, rows []int, hi []float64, 
 		return nil, stats, err
 	}
 	return pkg, stats, nil
-}
-
-// Direct is the paper's DIRECT evaluation method: compute the base
-// relation, translate the whole query into a single ILP, and solve it
-// with the black-box solver.
-func Direct(spec *Spec, opt ilp.Options) (*Package, *EvalStats, error) {
-	return DirectCtx(context.Background(), spec, opt)
-}
-
-// DirectCtx is Direct under a context (see SolveRowsCtx).
-func DirectCtx(ctx context.Context, spec *Spec, opt ilp.Options) (*Package, *EvalStats, error) {
-	return DirectStream(ctx, spec, opt, nil)
-}
-
-// DirectStream is DirectCtx with anytime results: improving incumbents
-// of the single ILP solve are forwarded to fn as they are found, each a
-// feasible (possibly suboptimal) package over the input relation. A nil
-// fn degrades to a plain solve.
-func DirectStream(ctx context.Context, spec *Spec, opt ilp.Options, fn IncumbentFunc) (*Package, *EvalStats, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, &EvalStats{}, err
-	}
-	return SolveRowsStream(ctx, spec, spec.BaseRows(), nil, opt, 0, fn)
 }

@@ -40,7 +40,7 @@ func allocProblem() *Problem {
 // allocating.
 func TestSolveAllocationsBounded(t *testing.T) {
 	p := allocProblem()
-	res, err := Solve(p, Options{})
+	res, err := solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSolveAllocationsBounded(t *testing.T) {
 	}
 
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := Solve(p, Options{}); err != nil {
+		if _, err := solve(p, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

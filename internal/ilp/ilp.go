@@ -111,7 +111,7 @@ const DefaultMaxNodes = 200000
 // ErrTooLarge is returned when the problem exceeds LoadLimitVars.
 var ErrTooLarge = errors.New("ilp: problem exceeds solver load limit")
 
-// Result is the outcome of Solve.
+// Result is the outcome of SolveCtx.
 type Result struct {
 	Status    Status
 	X         []float64 // integral solution (valid for Optimal, and for ResourceLimit when HasIncumbent)
@@ -175,15 +175,10 @@ func (h *nodeHeap) Pop() any {
 	return n
 }
 
-// Solve runs branch and bound and returns the best integral solution.
-func Solve(p *Problem, opt Options) (*Result, error) {
-	return SolveCtx(context.Background(), p, opt)
-}
-
-// SolveCtx runs branch and bound under a context: cancellation (or a
-// context deadline) aborts the search — including any in-flight simplex
-// solve — and returns the context's error. This is what lets a caller
-// race several solves and cheaply cancel the losers.
+// SolveCtx runs branch and bound and returns the best integral solution.
+// Cancellation (or a context deadline) aborts the search — including any
+// in-flight simplex solve — and returns the context's error. This is what
+// lets a caller race several solves and cheaply cancel the losers.
 func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

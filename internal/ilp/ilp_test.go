@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,9 +12,14 @@ import (
 	"repro/internal/lp"
 )
 
+// solve runs SolveCtx with no deadline.
+func solve(p *Problem, opt Options) (*Result, error) {
+	return SolveCtx(context.Background(), p, opt)
+}
+
 func solveOK(t *testing.T, p *Problem, opt Options) *Result {
 	t.Helper()
-	r, err := Solve(p, opt)
+	r, err := solve(p, opt)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -190,7 +196,7 @@ func TestLoadLimit(t *testing.T) {
 			Hi:       []float64{1, 1, 1},
 		},
 	}
-	if _, err := Solve(p, Options{LoadLimitVars: 2}); err == nil {
+	if _, err := solve(p, Options{LoadLimitVars: 2}); err == nil {
 		t.Fatal("load limit not enforced")
 	}
 }
@@ -228,7 +234,7 @@ func TestBadIntegerLength(t *testing.T) {
 		LP:      lp.Problem{Maximize: true, C: []float64{1}, Hi: []float64{1}},
 		Integer: []bool{true, false},
 	}
-	if _, err := Solve(p, Options{}); err == nil {
+	if _, err := solve(p, Options{}); err == nil {
 		t.Fatal("mismatched Integer length accepted")
 	}
 }
@@ -322,7 +328,7 @@ func TestQuickMatchesBruteForce(t *testing.T) {
 			p.LP.Op = append(p.LP.Op, op)
 			p.LP.B = append(p.LP.B, lhs)
 		}
-		r, err := Solve(p, Options{})
+		r, err := solve(p, Options{})
 		if err != nil {
 			return false
 		}
@@ -361,7 +367,7 @@ func TestQuickSolutionIntegralFeasible(t *testing.T) {
 		p.LP.A = [][]float64{row}
 		p.LP.Op = []lp.ConstraintOp{lp.LE}
 		p.LP.B = []float64{2 + rng.Float64()*10}
-		r, err := Solve(p, Options{})
+		r, err := solve(p, Options{})
 		if err != nil || r.Status != Optimal {
 			return false
 		}
@@ -391,7 +397,7 @@ func TestFindIIS(t *testing.T) {
 		Op:       []lp.ConstraintOp{lp.LE, lp.GE, lp.GE},
 		B:        []float64{2, 5, 1},
 	}
-	iis, err := FindIIS(p)
+	iis, err := FindIIS(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,12 +414,34 @@ func TestFindIISFeasible(t *testing.T) {
 		Op:       []lp.ConstraintOp{lp.LE},
 		B:        []float64{2},
 	}
-	iis, err := FindIIS(p)
+	iis, err := FindIIS(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if iis != nil {
 		t.Fatalf("IIS of feasible problem = %v, want nil", iis)
+	}
+}
+
+// TestFindIISCanceled: the deletion filter runs one LP per row, so a
+// caller that has given up must not pay for them — a canceled context
+// aborts the first LP solve with the context's error.
+func TestFindIISCanceled(t *testing.T) {
+	p := &lp.Problem{
+		Maximize: true,
+		C:        []float64{0},
+		A:        [][]float64{{1}, {1}, {1}},
+		Op:       []lp.ConstraintOp{lp.LE, lp.GE, lp.GE},
+		B:        []float64{2, 5, 1},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	iis, err := FindIIS(ctx, p)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("FindIIS error %v, want context.Canceled", err)
+	}
+	if iis != nil {
+		t.Fatalf("canceled FindIIS returned IIS %v", iis)
 	}
 }
 
@@ -441,7 +469,7 @@ func TestQuickIISIrreducible(t *testing.T) {
 			p.Op = append(p.Op, []lp.ConstraintOp{lp.LE, lp.GE}[rng.Intn(2)])
 			p.B = append(p.B, float64(rng.Intn(13)-6))
 		}
-		iis, err := FindIIS(p)
+		iis, err := FindIIS(context.Background(), p)
 		if err != nil {
 			return false
 		}
@@ -457,7 +485,7 @@ func TestQuickIISIrreducible(t *testing.T) {
 			for i := range active {
 				active[i] = inIIS[i] && i != drop
 			}
-			ok, err := rowsFeasible(p, active)
+			ok, err := rowsFeasible(context.Background(), p, active)
 			if err != nil || !ok {
 				return false
 			}

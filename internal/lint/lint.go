@@ -40,7 +40,6 @@ var SDKConsumers = []string{
 var SDKForbidden = []string{
 	Module + "/internal/advisor",
 	Module + "/internal/core",
-	Module + "/internal/engine",
 	Module + "/internal/ilp",
 	Module + "/internal/lp",
 	Module + "/internal/naive",
@@ -60,7 +59,6 @@ var NoPanicPackages = []string{
 	Module + "/paq",
 	Module + "/internal/advisor",
 	Module + "/internal/core",
-	Module + "/internal/engine",
 	Module + "/internal/ilp",
 	Module + "/internal/lp",
 	Module + "/internal/naive",

@@ -42,7 +42,7 @@ func allocProblem() *Problem {
 // allocating (one alloc per pivot on this problem adds hundreds).
 func TestSolveAllocationsIterationFree(t *testing.T) {
 	p := allocProblem()
-	sol, err := Solve(p)
+	sol, err := solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSolveAllocationsIterationFree(t *testing.T) {
 	}
 
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := Solve(p); err != nil {
+		if _, err := solve(p); err != nil {
 			t.Fatal(err)
 		}
 	})

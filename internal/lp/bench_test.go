@@ -78,7 +78,7 @@ func BenchmarkSolve(b *testing.B) {
 			b.ReportAllocs()
 			iters := 0
 			for i := 0; i < b.N; i++ {
-				s, err := Solve(c.p)
+				s, err := solve(c.p)
 				if err != nil {
 					b.Fatal(err)
 				}

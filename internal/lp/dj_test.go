@@ -64,7 +64,7 @@ func TestQuickReducedCostBound(t *testing.T) {
 			B:        []float64{2 + rng.Float64()*3},
 			Hi:       hi,
 		}
-		s, err := Solve(p)
+		s, err := solve(p)
 		if err != nil || s.Status != Optimal {
 			return false
 		}
@@ -76,7 +76,7 @@ func TestQuickReducedCostBound(t *testing.T) {
 			forced := *p
 			forced.Lo = make([]float64, n)
 			forced.Lo[j] = 1
-			fs, err := Solve(&forced)
+			fs, err := solve(&forced)
 			if err != nil {
 				return false
 			}

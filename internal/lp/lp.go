@@ -744,11 +744,6 @@ func (tb *tableau) solution(p *Problem, iters int) *Solution {
 	return &Solution{Status: Optimal, X: x, Objective: obj, Iterations: iters, DJ: dj}
 }
 
-// Solve solves the linear program.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveCtx(context.Background(), p)
-}
-
 // SolveCtx solves the linear program, aborting early (with the context's
 // error) when ctx is canceled or its deadline passes. Cancellation is
 // polled every 64 simplex iterations, so an abandoned solve stops within

@@ -90,7 +90,7 @@ func cmpStrings(op CmpOp, a, b string) bool {
 }
 
 // Compare is a predicate of the form "column op constant". It is safe
-// for concurrent evaluation (the engine races SketchRefine refinement
+// for concurrent evaluation (SketchRefine can race refinement
 // orders over one shared spec, so the same predicate is evaluated from
 // several goroutines, possibly against different relations).
 type Compare struct {

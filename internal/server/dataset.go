@@ -22,7 +22,7 @@ const (
 
 // DatasetConfig configures dataset registration: the offline
 // partitioning warmed at load time and the solver budgets shared by the
-// dataset's per-method engines.
+// dataset's evaluation methods.
 type DatasetConfig struct {
 	// Attrs are the partitioning attributes. Empty means every numeric
 	// column of the relation — a superset of any query's attributes, so

@@ -127,7 +127,7 @@ type refResult struct {
 // TestServerDifferentialLoad is the acceptance load test: ≥64 concurrent
 // mixed PaQL queries over two datasets against a running paqld complete
 // with zero panics, no 429s (the admission bound is sized for the load),
-// and objectives byte-identical to in-process engine.Evaluate results.
+// and objectives byte-identical to in-process Stmt.Execute results.
 func TestServerDifferentialLoad(t *testing.T) {
 	rels := testRelations(t)
 	cases := buildCorpus(t, rels)
@@ -145,7 +145,7 @@ func TestServerDifferentialLoad(t *testing.T) {
 	defer ts.Close()
 
 	// Independent in-process reference: fresh datasets (identical config,
-	// deterministic partitioning) with their own engines and caches.
+	// deterministic partitioning) with their own solution caches.
 	refs := make(map[qcase]refResult)
 	refDS := make(map[string]*Dataset)
 	for name, rel := range rels {
@@ -272,8 +272,6 @@ type blockingSolver struct {
 	started chan struct{} // one token per Solve entry
 }
 
-func (b *blockingSolver) Name() string { return "blocking" }
-
 func (b *blockingSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
 	select {
 	case b.started <- struct{}{}:
@@ -287,7 +285,7 @@ func (b *blockingSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Pack
 	}
 }
 
-// tinyDataset registers a 4-row dataset whose direct engine uses the
+// tinyDataset registers a 4-row dataset whose direct method uses the
 // given solver.
 func tinyDataset(t *testing.T, srv *Server, solver paq.Solver) string {
 	t.Helper()
@@ -301,8 +299,8 @@ func tinyDataset(t *testing.T, srv *Server, solver paq.Solver) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SetSolver's engines never cache, so every request reaches the
-	// solver (blocking tests depend on it).
+	// An injected solver bypasses the cache, so every request reaches
+	// it (blocking tests depend on it).
 	ds.Session().SetSolver(paq.MethodDirect, solver)
 	srv.Register(ds)
 	return `SELECT PACKAGE(T) AS P FROM tiny T REPEAT 0

@@ -1,6 +1,7 @@
 package sketchrefine
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func TestDynamicPartitioningEndToEnd(t *testing.T) {
 	spec := cardSpec(rel, 6, 40)
 	for _, omega := range []float64{4, 2, 1} {
 		part := tree.CoarsestForRadius(omega, 0)
-		pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 		if err != nil {
 			t.Fatalf("ω=%g: %v", omega, err)
 		}
@@ -40,7 +41,7 @@ func TestStatsAccumulation(t *testing.T) {
 	rel := genRel(300, 32)
 	part := buildPart(t, rel, 30, 0)
 	spec := cardSpec(rel, 8, 50)
-	_, stats, err := Evaluate(spec, part, Options{HybridSketch: true})
+	_, stats, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestBacktrackingExercised(t *testing.T) {
 		},
 		Objective: &core.Objective{Maximize: true, Coef: core.AttrCoef{Attr: "b"}},
 	}
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatalf("backtracking scenario failed: %v", err)
 	}
@@ -133,7 +134,7 @@ func TestSketchCapsRespectRepeat(t *testing.T) {
 	for _, repeat := range []int{0, 1, 3} {
 		spec := cardSpec(rel, 10, 70)
 		spec.Repeat = repeat
-		pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 		if err != nil {
 			t.Fatalf("repeat %d: %v", repeat, err)
 		}
@@ -152,7 +153,7 @@ func TestSolverBudgetPropagates(t *testing.T) {
 	rel := genRel(300, 34)
 	part := buildPart(t, rel, 40, 0)
 	spec := cardSpec(rel, 8, 50)
-	pkg, _, err := Evaluate(spec, part, Options{
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{
 		HybridSketch: true,
 		Solver:       ilp.Options{MaxNodes: 2},
 	})

@@ -62,6 +62,18 @@ type Options struct {
 	// when present — index the representative relation, not the input).
 	// The callback runs synchronously on the solving goroutine.
 	OnIncumbent core.IncumbentFunc
+	// Racers is the number of refinement orders raced per evaluation; 0
+	// or 1 evaluates the single order Seed configures, sequentially and
+	// deterministically. With Racers > 1, lane 0 keeps Seed's order, the
+	// other lanes shuffle with distinct reproducible seeds, the first
+	// feasible package wins and the losers are canceled. Algorithm 2's
+	// starting order is arbitrary, so any winner is a valid SketchRefine
+	// answer, and orders that would backtrack heavily no longer gate the
+	// response time. Every lane forwards its incumbents to OnIncumbent,
+	// which must then be safe for concurrent calls; lanes are independent
+	// searches, so the stream is a progress signal, not a monotone
+	// sequence.
+	Racers int
 }
 
 // DefaultMaxBacktracks bounds refinement backtracking when
@@ -133,20 +145,18 @@ func (ev *evaluator) incumbentHook(sketch bool) core.IncumbentFunc {
 	}
 }
 
-// Evaluate runs SketchRefine on a compiled query over a partitioned
+// EvaluateCtx runs SketchRefine on a compiled query over a partitioned
 // relation. The partitioning must have been built on (a restriction of)
 // spec.Rel. It returns the package, accumulated statistics, and
-// ErrFalseInfeasible when no package is found.
-func Evaluate(spec *core.Spec, part *partition.Partitioning, opt Options) (*core.Package, *core.EvalStats, error) {
-	return EvaluateCtx(context.Background(), spec, part, opt)
-}
-
-// EvaluateCtx is Evaluate under a context: cancellation or a context
+// ErrFalseInfeasible when no package is found. Cancellation or a context
 // deadline aborts the evaluation — between refinement steps and inside
 // any in-flight ILP solve — and returns the context's error.
 func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partitioning, opt Options) (*core.Package, *core.EvalStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if opt.Racers > 1 {
+		return race(ctx, spec, part, opt)
 	}
 	stats := &core.EvalStats{}
 	if err := spec.Validate(); err != nil {
@@ -275,7 +285,7 @@ func (ev *evaluator) sketch() (*state, error) {
 		Constraints: ev.spec.Constraints,
 		Objective:   ev.spec.Objective,
 	}
-	pkg, st, err := core.SolveRowsStream(ctx, sketchSpec, repRows, hi, ev.opt.Solver, 0, ev.incumbentHook(true))
+	pkg, st, err := core.SolveRows(ctx, sketchSpec, repRows, hi, ev.opt.Solver, 0, ev.incumbentHook(true))
 	ev.stats.Add(st)
 	if err != nil {
 		return nil, err
@@ -337,7 +347,7 @@ func (ev *evaluator) refineGroup(st *state, gid int) (*state, error) {
 			Desc: c.Desc,
 		})
 	}
-	pkg, stats, err := core.SolveRowsStream(ctx, sub, ev.eligible[gid], nil, ev.opt.Solver, 0, ev.incumbentHook(false))
+	pkg, stats, err := core.SolveRows(ctx, sub, ev.eligible[gid], nil, ev.opt.Solver, 0, ev.incumbentHook(false))
 	ev.stats.Add(stats)
 	if err != nil {
 		return nil, err
@@ -607,7 +617,7 @@ func (ev *evaluator) failOrMerge() (*core.Package, *core.EvalStats, error) {
 	}
 	ctx, sp := obs.Start(ev.ctx, "merge")
 	defer sp.Finish()
-	pkg, st, err := core.SolveRowsStream(ctx, ev.spec, ev.spec.BaseRows(), nil, ev.opt.Solver, 0, ev.incumbentHook(false))
+	pkg, st, err := core.SolveRows(ctx, ev.spec, ev.spec.BaseRows(), nil, ev.opt.Solver, 0, ev.incumbentHook(false))
 	ev.stats.Add(st)
 	if err != nil {
 		if errors.Is(err, core.ErrInfeasible) {

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,6 +13,15 @@ import (
 	"repro/internal/relation"
 	"repro/internal/reltest"
 )
+
+// direct evaluates a whole query with DIRECT: validate the spec, then
+// solve one ILP over every eligible row.
+func direct(spec *core.Spec, opt ilp.Options) (*core.Package, *core.EvalStats, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, &core.EvalStats{}, err
+	}
+	return core.SolveRows(context.Background(), spec, spec.BaseRows(), nil, opt, 0, nil)
+}
 
 func recipesRel() *relation.Relation {
 	r := relation.New("recipes", reltest.Schema(
@@ -69,7 +79,7 @@ MINIMIZE SUM(P.saturated_fat)`, rel)
 	if got := len(spec.BaseRows()); got != 6 {
 		t.Errorf("base rows = %d, want 6", got)
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatalf("Direct: %v", err)
 	}
@@ -88,7 +98,7 @@ func TestCompileAvgRewrite(t *testing.T) {
 SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND AVG(P.kcal) <= 0.6
 MAXIMIZE SUM(P.carbs)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +125,7 @@ SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0
 SUCH THAT COUNT(P.*) = 4 AND
           (SELECT COUNT(*) FROM P WHERE carbs > 0) >= (SELECT COUNT(*) FROM P WHERE protein <= 5)
 MAXIMIZE SUM(P.protein)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +149,7 @@ func TestCompileConditionalSum(t *testing.T) {
 SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND (SELECT SUM(kcal) FROM P WHERE gluten = 'free') <= 1.5
 MAXIMIZE SUM(P.kcal)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +173,7 @@ MAXIMIZE SUM(P.carbs)`, rel)
 	if len(spec.Restrictions) != 2 {
 		t.Fatalf("restrictions = %d, want 2", len(spec.Restrictions))
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +210,7 @@ MAXIMIZE 2 * SUM(P.carbs) - SUM(P.protein) + 10`, rel)
 	if spec.Objective.Offset != 10 {
 		t.Errorf("objective offset = %g, want 10", spec.Objective.Offset)
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +234,7 @@ func TestCompileNegativeWeightNormalization(t *testing.T) {
 SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND -2 * AVG(P.kcal) >= -1.2
 MAXIMIZE SUM(P.carbs)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +333,7 @@ func TestCompileVacuousObjective(t *testing.T) {
 	if spec.Objective != nil {
 		t.Error("feasibility-only query has an objective")
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +358,7 @@ MAXIMIZE SUM(P.kcal)`, rel)
 	if !found {
 		t.Error("constant-folded COUNT bound not found")
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,24 +390,24 @@ func TestTheorem1ILPToPaQL(t *testing.T) {
 SELECT PACKAGE(R) AS P FROM ilprel R
 SUCH THAT SUM(P.attr_1) <= 5 AND SUM(P.attr_2) <= 11
 MAXIMIZE SUM(P.attr_obj)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj, _ := pkg.ObjectiveValue(spec)
 
-	direct, err := ilp.Solve(&ilp.Problem{LP: lp.Problem{
+	ref, err := ilp.SolveCtx(context.Background(), &ilp.Problem{LP: lp.Problem{
 		Maximize: true,
 		C:        []float64{3, 5, 4},
 		A:        [][]float64{{2, 3, 1}, {4, 1, 2}},
 		Op:       []lp.ConstraintOp{lp.LE, lp.LE},
 		B:        []float64{5, 11},
 	}}, ilp.Options{})
-	if err != nil || direct.Status != ilp.Optimal {
-		t.Fatalf("reference ILP failed: %v %v", err, direct.Status)
+	if err != nil || ref.Status != ilp.Optimal {
+		t.Fatalf("reference ILP failed: %v %v", err, ref.Status)
 	}
-	if math.Abs(obj-direct.Objective) > 1e-9 {
-		t.Errorf("PaQL objective %g != ILP objective %g (Theorem 1 reduction)", obj, direct.Objective)
+	if math.Abs(obj-ref.Objective) > 1e-9 {
+		t.Errorf("PaQL objective %g != ILP objective %g (Theorem 1 reduction)", obj, ref.Objective)
 	}
 }
 
@@ -406,7 +416,7 @@ func TestCompileObjectiveOverFromAlias(t *testing.T) {
 	// to it.
 	rel := recipesRel()
 	spec := compileOK(t, `SELECT PACKAGE(R) FROM recipes R REPEAT 0 SUCH THAT COUNT(R.*) = 2 MAXIMIZE SUM(R.kcal)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := direct(spec, ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +444,8 @@ MINIMIZE SUM(P.saturated_fat)`
 	if err != nil {
 		t.Fatalf("compiling rendered query: %v", err)
 	}
-	p1, _, err1 := core.Direct(spec1, ilp.Options{})
-	p2, _, err2 := core.Direct(spec2, ilp.Options{})
+	p1, _, err1 := direct(spec1, ilp.Options{})
+	p2, _, err2 := direct(spec2, ilp.Options{})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("direct: %v %v", err1, err2)
 	}

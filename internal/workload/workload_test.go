@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,15 @@ import (
 	"repro/internal/relation"
 	"repro/internal/translate"
 )
+
+// direct evaluates a whole query with DIRECT: validate the spec, then
+// solve one ILP over every eligible row.
+func direct(spec *core.Spec, opt ilp.Options) (*core.Package, *core.EvalStats, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, &core.EvalStats{}, err
+	}
+	return core.SolveRows(context.Background(), spec, spec.BaseRows(), nil, opt, 0, nil)
+}
 
 func TestGalaxyGeneratorShape(t *testing.T) {
 	rel := Galaxy(5000, 1)
@@ -173,7 +183,7 @@ func TestAllQueriesCompileAndSolve(t *testing.T) {
 			if q.Hard {
 				continue // hard queries are exercised in benches, not unit tests
 			}
-			pkg, _, err := core.Direct(spec, ilp.Options{MaxNodes: 200000})
+			pkg, _, err := direct(spec, ilp.Options{MaxNodes: 200000})
 			if err != nil {
 				t.Errorf("%s/%s: DIRECT failed: %v", ds.rel.Name(), q.Name, err)
 				continue

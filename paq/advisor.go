@@ -180,9 +180,9 @@ func (s *Session) AdvisorMaintain() AdvisorPass {
 
 // evictWarmSets drops least-recently-used advisor-managed warm sets
 // beyond the budget (the session-wide partitioning is pinned and never
-// counted). Evicting deletes the partitioning and its SketchRefine
-// engine (whose solution cache keys row indices into that
-// partitioning); a later query for the set rebuilds it lazily.
+// counted). Evicting deletes the partitioning and the SketchRefine
+// solutions cached over it; a later query for the set rebuilds it
+// lazily.
 func (s *Session) evictWarmSets() []string {
 	budget := s.cfg.warmBudget
 	if budget < 0 {
@@ -204,7 +204,7 @@ func (s *Session) evictWarmSets() []string {
 	evict := order[:len(managed)-budget]
 	for _, k := range evict {
 		delete(s.parts, k)
-		delete(s.engines, string(MethodSketchRefine)+"|"+k)
+		s.cache.dropPart(k)
 		s.adv.ClearPrewarmed(k)
 		s.advEvicted++
 	}

@@ -110,11 +110,9 @@ func must(stmt *paq.Stmt, err error) *paq.Stmt {
 // returns the first eligible row, so both methods agree on the
 // objective and the advisor's gap gate stays neutral.
 type stubSolver struct {
-	name  string
 	delay time.Duration
 }
 
-func (s stubSolver) Name() string { return s.name }
 func (s stubSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
 	time.Sleep(s.delay)
 	rows := spec.BaseRows()
@@ -132,8 +130,8 @@ func TestAdvisorLearnsFasterMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.SetSolver(paq.MethodDirect, stubSolver{name: "direct", delay: time.Millisecond})
-	sess.SetSolver(paq.MethodSketchRefine, stubSolver{name: "sketchrefine", delay: 25 * time.Millisecond})
+	sess.SetSolver(paq.MethodDirect, stubSolver{delay: time.Millisecond})
+	sess.SetSolver(paq.MethodSketchRefine, stubSolver{delay: 25 * time.Millisecond})
 	q := `SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
 SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 

@@ -280,7 +280,7 @@ func (s *Session) compactLocked() (int, error) {
 		}
 	}
 	s.compactions++
-	s.invalidateStale() // reaches every sibling's engines
+	s.invalidateStale() // reaches every sibling's cache
 	return reclaimed, nil
 }
 

@@ -9,10 +9,8 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/sketchrefine"
 )
 
 // TraceNode is the JSON wire form of one span of an execution trace —
@@ -222,82 +220,89 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		}
 	}
 
-	// Bespoke executions (row subsets, reseeds) bypass the engine and are
-	// not representative workload evidence, so they skip the advisor.
+	// Bespoke executions (row subsets, reseeds) bypass the solution cache
+	// — their answers are not cacheable under the statement's key — and
+	// are not representative workload evidence, so they skip the advisor.
 	bespoke := ec.rows != nil || ec.seedSet
 	solveSp := root.Child("solve")
 	sctx := obs.ContextWith(ctx, solveSp)
-	var res engine.Result
-	if bespoke {
-		res = st.executeBespoke(sctx, ec, spec, pin, hook)
-	} else {
-		eng := st.sess.engineFor(st.method, pin.part)
-		res = eng.EvaluateStreamView(sctx, spec, pin.view, hook)
+	var res outcome
+	switch {
+	case bespoke && st.method == MethodNaive:
+		res.err = fmt.Errorf("%w: naive evaluation over row subsets", ErrUnsupported)
+	case bespoke:
+		so := solveOpts{rows: ec.rows, seed: st.sess.cfg.seed}
+		if ec.seedSet {
+			so.seed = ec.seed
+		}
+		res = st.sess.solve(sctx, st.method, spec, pin.view, so, hook)
+	default:
+		res = st.sess.solveCached(sctx, st, spec, pin.view, hook)
 	}
-	solveSp.SetAttrBool("cached", res.Cached)
+	solveSp.SetAttrBool("cached", res.cached)
 	solveSp.Finish()
-	if res.Err != nil {
+	if res.err != nil {
 		// A canceled caller says nothing about the method; everything else
 		// is evidence (a definitive "no such package" is a correct answer,
 		// timeouts and exhausted budgets are failures).
-		if !bespoke && !errors.Is(res.Err, context.Canceled) {
+		if !bespoke && !errors.Is(res.err, context.Canceled) {
 			o := advisor.Outcome{
 				Shape:   st.shape,
 				Method:  string(st.method),
-				SolveMS: float64(res.Time.Microseconds()) / 1000,
+				SolveMS: float64(res.time.Microseconds()) / 1000,
 			}
-			if errors.Is(mapEvalErr(res.Err), ErrInfeasible) {
+			if errors.Is(mapEvalErr(res.err), ErrInfeasible) {
 				o.Infeasible = true
 			} else {
 				o.Failed = true
 			}
 			st.sess.reportOutcome(o)
 		}
-		return nil, mapEvalErr(res.Err)
+		return nil, mapEvalErr(res.err)
 	}
 	// Copy the package slices: the underlying *core.Package may live in
 	// the session's solution cache and be shared by every future cache
 	// hit — a caller mutating its Result must not corrupt it.
 	out := &Result{
-		Rows:       append([]int(nil), res.Pkg.Rows...),
-		Mult:       append([]int(nil), res.Pkg.Mult...),
-		Size:       res.Pkg.Size(),
-		Distinct:   res.Pkg.Distinct(),
+		Rows:       append([]int(nil), res.pkg.Rows...),
+		Mult:       append([]int(nil), res.pkg.Mult...),
+		Size:       res.pkg.Size(),
+		Distinct:   res.pkg.Distinct(),
 		Version:    spec.Rel.Version(),
-		Stats:      res.Stats,
-		Truncated:  res.Stats != nil && res.Stats.Truncated,
-		Cached:     res.Cached,
-		Time:       res.Time,
+		Stats:      res.stats,
+		Truncated:  res.stats != nil && res.stats.Truncated,
+		Cached:     res.cached,
+		Time:       res.time,
 		Incumbents: nInc,
-		pkg:        res.Pkg,
+		pkg:        res.pkg,
 		spec:       spec,
 	}
 	// Evaluate the objective against the pinned snapshot, not head: a
 	// mutation racing this solve must not make the reported objective
 	// disagree with the version the package was chosen at.
 	objSp := root.Child("objective")
-	obj, err := res.Pkg.ObjectiveValue(spec)
+	obj, err := res.pkg.ObjectiveValue(spec)
 	objSp.Finish()
 	if err != nil {
 		return nil, mapEvalErr(err)
 	}
 	out.Objective = obj
 	if root != nil {
-		root.SetAttrBool("cached", res.Cached)
+		root.SetAttrBool("cached", res.cached)
 		root.SetAttrInt("version", int64(out.Version))
 		root.SetAttrInt("incumbents", int64(nInc))
 		root.Finish()
 		out.trace = root
 	}
-	if !bespoke && !res.Cached {
+	if !bespoke && !res.cached {
 		o := advisor.Outcome{
 			Shape:     st.shape,
 			Method:    string(st.method),
-			SolveMS:   float64(res.Time.Microseconds()) / 1000,
+			SolveMS:   float64(res.time.Microseconds()) / 1000,
 			Truncated: out.Truncated,
 		}
-		if res.Stats != nil {
-			o.Backtracks = res.Stats.Backtracks
+		if res.stats != nil {
+			o.Backtracks = res.stats.Backtracks
 		}
 		if st.spec.Objective != nil {
 			o.HasObjective = true
@@ -309,43 +314,9 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	return out, nil
 }
 
-// executeBespoke runs row-subset or reseeded executions outside the
-// engine path (their answers are not cacheable under the statement's
-// key). spec is the snapshot-bound spec and pin the pinned state, so
-// bespoke solves are as lock-free as engine ones.
-func (st *Stmt) executeBespoke(ctx context.Context, ec execCfg, spec *core.Spec, pin pinned, hook core.IncumbentFunc) engine.Result {
-	t0 := time.Now()
-	fail := func(err error) engine.Result {
-		return engine.Result{Err: err, Time: time.Since(t0)}
-	}
-	switch st.method {
-	case MethodNaive:
-		return fail(fmt.Errorf("%w: naive evaluation over row subsets", ErrUnsupported))
-	case MethodSketchRefine:
-		part := pin.view
-		if ec.rows != nil {
-			part = part.Restrict(ec.rows)
-		}
-		opt := st.sess.sketchOptions()
-		if ec.seedSet {
-			opt.Seed = ec.seed
-		}
-		opt.OnIncumbent = hook
-		pkg, stats, err := sketchrefine.EvaluateCtx(ctx, spec, part, opt)
-		return engine.Result{Pkg: pkg, Stats: stats, Err: err, Time: time.Since(t0)}
-	default: // direct
-		rows := spec.BaseRows()
-		if ec.rows != nil {
-			rows = spec.FilterRows(ec.rows)
-		}
-		pkg, stats, err := core.SolveRowsStream(ctx, spec, rows, nil, st.sess.cfg.solverOptions(), 0, hook)
-		return engine.Result{Pkg: pkg, Stats: stats, Err: err, Time: time.Since(t0)}
-	}
-}
-
 // ExecuteBatch evaluates many prepared statements concurrently on the
-// session's worker pool (WithWorkers), sharing the strategy state and
-// solution caches, and returns the results in input order. Every slot
+// session's worker pool (WithWorkers), sharing the partitionings and
+// solution cache, and returns the results in input order. Every slot
 // is filled: per-statement failures are reported in Result.Err, not
 // returned.
 func (s *Session) ExecuteBatch(ctx context.Context, stmts []*Stmt, opts ...ExecOption) []*Result {

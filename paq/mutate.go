@@ -3,7 +3,6 @@ package paq
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/partition"
 	"repro/internal/relation"
 )
@@ -335,22 +334,11 @@ func (s *Session) eachMaintainer(fn func(*partition.Maintainer) error) error {
 }
 
 // invalidateStale reclaims solution-cache entries solved against older
-// dataset versions from every engine every sibling session has
-// instantiated (the relation — and so the staleness — is shared).
+// dataset versions from every sibling session's cache (the relation —
+// and so the staleness — is shared).
 func (s *Session) invalidateStale() {
-	var engines []*engine.Engine
 	for _, sib := range s.sibs.list() {
-		sib.mu.Lock()
-		for _, e := range sib.engines {
-			engines = append(engines, e)
-		}
-		for _, e := range sib.overrides {
-			engines = append(engines, e)
-		}
-		sib.mu.Unlock()
-	}
-	for _, e := range engines {
-		e.InvalidateRel(s.rel)
+		sib.cache.invalidate(s.rel)
 	}
 }
 

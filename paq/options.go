@@ -5,28 +5,26 @@ import (
 	"time"
 
 	"repro/internal/ilp"
-	"repro/internal/sketchrefine"
 )
 
 // config is the resolved session configuration.
 type config struct {
-	method       Method
-	partAttrs    []string
-	tauFrac      float64
-	tauAbs       int
-	radius       float64
-	workers      int
-	racers       int
-	seed         int64
-	timeLimit    time.Duration
-	maxNodes     int
-	gap          float64
-	noCache      bool
-	cacheEntries int
-	warm         bool
-	durDir       string
-	noAdvisor    bool
-	warmBudget   int
+	method     Method
+	partAttrs  []string
+	tauFrac    float64
+	tauAbs     int
+	radius     float64
+	workers    int
+	racers     int
+	seed       int64
+	timeLimit  time.Duration
+	maxNodes   int
+	gap        float64
+	noCache    bool
+	warm       bool
+	durDir     string
+	noAdvisor  bool
+	warmBudget int
 }
 
 func defaults() config {
@@ -43,16 +41,6 @@ func defaults() config {
 // solverOptions maps the session budgets to the internal solver.
 func (c config) solverOptions() ilp.Options {
 	return ilp.Options{TimeLimit: c.timeLimit, MaxNodes: c.maxNodes, Gap: c.gap}
-}
-
-// sketchOptions is the SketchRefine configuration shared by the engine
-// path and the bespoke (row-subset / reseeded) path.
-func (s *Session) sketchOptions() sketchrefine.Options {
-	return sketchrefine.Options{
-		Solver:       s.cfg.solverOptions(),
-		HybridSketch: true,
-		Seed:         s.cfg.seed,
-	}
 }
 
 // Option configures a Session at Open (and, for a restricted subset, a
@@ -210,20 +198,11 @@ func WithGap(g float64) Option {
 	})
 }
 
-// WithoutCache disables the per-strategy solution caches: every
-// Execute solves afresh.
+// WithoutCache disables the session's solution cache: every Execute
+// solves afresh.
 func WithoutCache() Option {
 	return opt(func(c *config) error {
 		c.noCache = true
-		return nil
-	})
-}
-
-// WithCacheEntries bounds each strategy's solution cache (0 keeps the
-// default of 4096; negative means unbounded).
-func WithCacheEntries(n int) Option {
-	return opt(func(c *config) error {
-		c.cacheEntries = n
 		return nil
 	})
 }

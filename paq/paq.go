@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/naive"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -25,14 +23,6 @@ type Package = core.Package
 // Stats records the work done by one evaluation (ILP sizes, solver
 // nodes, subproblems, refinement backtracks).
 type Stats = core.EvalStats
-
-// CacheStats is a snapshot of one strategy's solution-cache counters.
-type CacheStats = engine.CacheStats
-
-// Solver is the pluggable evaluation-strategy interface of the
-// underlying engine; it is exported for test seams (see
-// Session.SetSolver), not for everyday use.
-type Solver = engine.Solver
 
 // Source is where Open loads the input relation from.
 type Source interface {
@@ -62,9 +52,8 @@ func Table(rel *relation.Relation) Source { return tableSource{rel: rel} }
 
 // Session is an open package-query session over one input relation. It
 // lazily builds and caches offline partitionings (one per distinct
-// attribute set) and keeps one solution-caching engine per evaluation
-// strategy, all shared by every statement prepared on it. A Session is
-// safe for concurrent use.
+// attribute set) and keeps one solution cache, all shared by every
+// statement prepared on it. A Session is safe for concurrent use.
 type Session struct {
 	rel *relation.Relation
 	cfg config
@@ -83,10 +72,11 @@ type Session struct {
 	// Clone (one snapshot per relation version serves all siblings).
 	pin *pinCache
 
-	mu        sync.Mutex
-	parts     map[string]*lazyPart
-	engines   map[string]*engine.Engine
-	overrides map[Method]*engine.Engine
+	mu    sync.Mutex
+	parts map[string]*lazyPart
+
+	// cache is the session's solution cache (fresh per Clone).
+	cache *solveCache
 
 	// adv is the session's adaptive planner + partitioning advisor (nil
 	// with WithoutAdvisor). partBuilds counts the offline partitioning
@@ -316,14 +306,14 @@ func Open(src Source, opts ...Option) (*Session, error) {
 		}
 	}
 	s := &Session{
-		rel:     rel,
-		cfg:     cfg,
-		dataMu:  &sync.RWMutex{},
-		pin:     &pinCache{},
-		parts:   make(map[string]*lazyPart),
-		engines: make(map[string]*engine.Engine),
-		st:      st,
-		sibs:    &siblings{},
+		rel:    rel,
+		cfg:    cfg,
+		dataMu: &sync.RWMutex{},
+		pin:    &pinCache{},
+		parts:  make(map[string]*lazyPart),
+		cache:  newSolveCache(),
+		st:     st,
+		sibs:   &siblings{},
 	}
 	if !cfg.noAdvisor {
 		s.adv = advisor.New(advisor.Config{})
@@ -367,8 +357,8 @@ func Open(src Source, opts ...Option) (*Session, error) {
 // coherent. Mutating the relation directly bypasses both.
 func (s *Session) Rel() *relation.Relation { return s.rel }
 
-// Clone returns a new session over the same relation with fresh engines
-// and solution caches, applying any additional options on top of the
+// Clone returns a new session over the same relation with a fresh
+// solution cache, applying any additional options on top of the
 // original configuration. Already-built partitionings are shared —
 // they are immutable and expensive — unless an option changes the
 // partitioning shape (τ or the radius limit), in which case they are
@@ -381,14 +371,14 @@ func (s *Session) Clone(opts ...Option) (*Session, error) {
 		}
 	}
 	c := &Session{
-		rel:     s.rel,
-		cfg:     cfg,
-		dataMu:  s.dataMu, // clones share the relation, so they share its lock
-		pin:     s.pin,    // ...and its snapshot cache (one snapshot per version)
-		parts:   make(map[string]*lazyPart),
-		engines: make(map[string]*engine.Engine),
-		st:      s.st,   // ...and its durability store (one WAL per relation)
-		sibs:    s.sibs, // ...and the sibling registry compaction remaps through
+		rel:    s.rel,
+		cfg:    cfg,
+		dataMu: s.dataMu, // clones share the relation, so they share its lock
+		pin:    s.pin,    // ...and its snapshot cache (one snapshot per version)
+		parts:  make(map[string]*lazyPart),
+		cache:  newSolveCache(),
+		st:     s.st,   // ...and its durability store (one WAL per relation)
+		sibs:   s.sibs, // ...and the sibling registry compaction remaps through
 	}
 	if !cfg.noAdvisor {
 		// A clone learns afresh: its options may change solver budgets or
@@ -610,13 +600,11 @@ func (s *Session) livePart(planned *partition.Partitioning, key string) (*lazyPa
 }
 
 // pinned is everything one execution needs to solve lock-free: an
-// immutable relation snapshot and — for SketchRefine — the live head
-// partitioning (the engine's cache identity) plus a frozen view of it
-// bound to the snapshot. All three are captured under one read-lock
-// acquisition, so they are mutually consistent at one version.
+// immutable relation snapshot and — for SketchRefine — a frozen view of
+// the live partitioning bound to that snapshot. Both are captured under
+// one read-lock acquisition, so they are consistent at one version.
 type pinned struct {
 	snap *relation.Relation
-	part *partition.Partitioning // live head partitioning (engine identity)
 	view *partition.Partitioning // frozen view over snap (SketchRefine only)
 }
 
@@ -646,10 +634,9 @@ func (s *Session) pinExec(st *Stmt, sp *obs.Span) (pinned, error) {
 			vsp.Finish()
 			return pinned{}, err
 		}
-		p.part = lp.part
 		p.view = lp.viewAt(p.snap)
 		if vsp != nil {
-			vsp.SetAttrInt("groups", int64(p.part.NumGroups()))
+			vsp.SetAttrInt("groups", int64(lp.part.NumGroups()))
 			vsp.Finish()
 		}
 	}
@@ -695,89 +682,16 @@ func (s *Session) Partitioning() (*PartitionInfo, error) {
 	return infoOf(p), nil
 }
 
-// engineFor returns (creating at most once) the engine serving a
-// method; part must be non-nil for MethodSketchRefine and is part of
-// the engine's identity, so distinct partitionings get distinct
-// solution caches.
-func (s *Session) engineFor(m Method, part *partition.Partitioning) *engine.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.overrides[m]; ok {
-		return e
-	}
-	key := string(m)
-	if m == MethodSketchRefine {
-		key += "|" + partKey(part.Attrs)
-	}
-	if e, ok := s.engines[key]; ok {
-		return e
-	}
-	var solver engine.Solver
-	switch m {
-	case MethodNaive:
-		solver = engine.Naive{Opt: naive.Options{Timeout: s.cfg.timeLimit}}
-	case MethodSketchRefine:
-		solver = engine.SketchRefine{
-			Part:   part,
-			Opt:    s.sketchOptions(),
-			Racers: s.cfg.racers,
-		}
-	default:
-		solver = engine.Direct{Opt: s.cfg.solverOptions()}
-	}
-	e := engine.New(solver)
-	e.Workers = s.cfg.workers
-	e.NoCache = s.cfg.noCache
-	e.MaxCacheEntries = s.cfg.cacheEntries
-	s.engines[key] = e
-	return e
-}
+// SetSolver replaces the strategy serving a method — a seam for tests
+// that need to inject instrumented or blocking strategies. The injected
+// strategy bypasses the solution cache (each execution counts as a
+// miss), so every execution reaches it. It must be called before the
+// session serves traffic.
+func (s *Session) SetSolver(m Method, solver Solver) { s.cache.setSolver(m, solver) }
 
-// SetSolver replaces the engine serving a method with one wrapping the
-// given solver — a seam for tests that need to inject instrumented or
-// blocking strategies. The injected engine never caches, so every
-// execution reaches the solver. It must be called before the session
-// serves traffic.
-func (s *Session) SetSolver(m Method, solver Solver) {
-	e := engine.New(solver)
-	e.Workers = s.cfg.workers
-	e.NoCache = true
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.overrides == nil {
-		s.overrides = make(map[Method]*engine.Engine)
-	}
-	s.overrides[m] = e
-}
-
-// CacheStats snapshots the solution-cache counters of every engine the
-// session has instantiated, aggregated per method.
-func (s *Session) CacheStats() map[Method]CacheStats {
-	s.mu.Lock()
-	engines := make(map[Method][]*engine.Engine)
-	for key, e := range s.engines {
-		m := Method(strings.SplitN(key, "|", 2)[0])
-		engines[m] = append(engines[m], e)
-	}
-	for m, e := range s.overrides {
-		engines[m] = append(engines[m], e)
-	}
-	s.mu.Unlock()
-	out := make(map[Method]CacheStats, len(engines))
-	for m, es := range engines {
-		var agg CacheStats
-		for _, e := range es {
-			cs := e.Stats()
-			agg.Hits += cs.Hits
-			agg.Misses += cs.Misses
-			agg.Evictions += cs.Evictions
-			agg.Invalidations += cs.Invalidations
-			agg.Entries += cs.Entries
-		}
-		out[m] = agg
-	}
-	return out
-}
+// CacheStats snapshots the session's solution-cache counters per
+// method (a method appears once it has executed or had a Solver set).
+func (s *Session) CacheStats() map[Method]CacheStats { return s.cache.snapshot() }
 
 // Incumbents reports the total number of improving incumbents streamed
 // by this session's executions — the anytime-results counter a serving

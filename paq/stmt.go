@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/paql"
 	"repro/internal/partition"
 	"repro/internal/translate"
@@ -33,8 +32,9 @@ type Stmt struct {
 	reason string
 	// part is the partitioning the statement refines over (nil unless
 	// the method is sketchrefine); partCacheKey is part's warm-set map
-	// key, precomputed so pinning an execution does not re-derive it
-	// (the pin path is allocation-free at steady state).
+	// key (also its component of the solution-cache key), precomputed so
+	// pinning an execution does not re-derive it (the pin path is
+	// allocation-free at steady state).
 	part         *partition.Partitioning
 	partCacheKey string
 	plan         *Plan
@@ -204,7 +204,7 @@ func (st *Stmt) resolveMethod(m Method) error {
 	s := st.sess
 	nBase := len(st.spec.BaseRows())
 	if s.adv != nil {
-		st.shape = engine.ShapeKey(st.spec)
+		st.shape = shapeKey(st.spec)
 	}
 	switch m {
 	case MethodDirect, MethodNaive:
@@ -348,15 +348,15 @@ func (st *Stmt) Method() Method { return st.method }
 func (st *Stmt) QueryAttrs() []string { return st.spec.QueryAttrs() }
 
 // stableCacheKey fingerprints the optimization problem for display. It
-// is the engine's cache key — prefixed with the resolved method, since
-// each method has its own solution cache and the advisor may flip
-// methods between otherwise identical statements — with the relation's
+// is the solution cache's specKey — prefixed with the resolved method,
+// since cache entries are per method and the advisor may flip methods
+// between otherwise identical statements — with the relation's
 // memory address (process identity) replaced by its name, live size,
 // and dataset version, hashed so EXPLAIN output stays one line; equal
 // keys ⇒ the same method solving the same problem over identically
 // named relations with identical mutation histories.
 func stableCacheKey(m Method, spec *core.Spec) string {
-	key := engine.SpecKey(spec)
+	key := specKey(spec)
 	if i := strings.Index(key, ";"); i > 0 {
 		key = fmt.Sprintf("rel=%s/%d@v%d%s", spec.Rel.Name(), spec.Rel.Live(), spec.Rel.Version(), key[i:])
 	}
